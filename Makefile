@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race doccheck check fmt bench benchgate e2e-dist e2e-load e2e-state
+.PHONY: all build vet test race doccheck benchmark-selftest check fmt bench benchgate e2e-dist e2e-load e2e-state
 
 # The benchmark suite `make bench` records and `make benchgate` gates on.
 BENCHES = BenchmarkGenerateSpace|BenchmarkExploreParallel|BenchmarkKernelInterpreter|BenchmarkExhaustiveSweep
@@ -51,7 +51,13 @@ e2e-state: build
 doccheck: vet
 	sh scripts/doccheck.sh
 
-check: doccheck build test race e2e-load benchgate
+# benchmark-selftest vets and tests benchmark/, a module of its own that
+# `go build ./...` never sees: every workload at 1/100 scale (about 5 s).
+# It is the only check that compiles the benchmark against internal/.
+benchmark-selftest:
+	cd benchmark && $(GO) vet . && $(GO) test .
+
+check: doccheck build test race benchmark-selftest e2e-load benchgate
 
 # bench runs the space-generation benchmark (memo on/off × workers), the
 # exploration benches, and the kernel-interpreter engine comparison

@@ -427,11 +427,11 @@ func BenchmarkKernelInterpreter(b *testing.B) {
 	}
 }
 
-// BenchmarkExploreParallel measures the parallel exploration engine against
-// the sequential loop on a synthetic 10ms cost function (the regime parallel
-// exploration targets: evaluation dominates, merging is negligible). The
-// speedup metric is wall-clock sequential/parallel per sub-bench; 8 workers
-// must clear 2x.
+// BenchmarkExploreParallel measures exploration on a worker pool against
+// the inline loop (Workers: 1) on a synthetic 10ms cost function (the
+// regime parallel exploration targets: evaluation dominates, merging is
+// negligible). The speedup metric is wall-clock inline/pooled per
+// sub-bench; 8 workers must clear 2x.
 func BenchmarkExploreParallel(b *testing.B) {
 	const evals = 32
 	params := []*core.Param{core.NewParam("X", core.NewInterval(1, 1024))}
@@ -453,8 +453,8 @@ func BenchmarkExploreParallel(b *testing.B) {
 		b.Run(fmt.Sprintf("workers-%d", workers), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				start := time.Now()
-				if _, err := core.ExploreParallel(sp, search.NewExhaustive(), cf, core.Evaluations(evals),
-					core.ParallelOptions{Workers: workers}); err != nil {
+				if _, err := core.Explore(sp, search.NewExhaustive(), cf, core.Evaluations(evals),
+					core.ExploreOptions{Workers: workers}); err != nil {
 					b.Fatal(err)
 				}
 				b.ReportMetric(seqTime.Seconds()/time.Since(start).Seconds(), "speedup-vs-seq")

@@ -18,16 +18,17 @@ type BatchTechnique interface {
 	GetNextBatch(n int) []*Config
 	// ReportCosts reports the evaluations of the most recent batch back
 	// to the technique, in batch order. When exploration aborts mid-batch
-	// only the evaluations that were committed are reported.
+	// only the evaluations that were committed are reported. The engine
+	// reuses the slice, so implementations must not retain it.
 	ReportCosts(evals []Evaluation)
 }
 
 // CostOblivious marks a technique whose proposal sequence does not depend
 // on reported costs: the configurations it returns are a function of the
 // space and seed alone (exhaustive enumeration, seeded random sampling).
-// The parallel engine may pipeline such techniques — draw and dispatch
-// batch k+1 before batch k's costs are reported — without changing the
-// proposal walk, so results stay bit-identical to the unpipelined run.
+// Explore may pipeline such techniques — draw and dispatch batch k+1
+// before batch k's costs are reported — without changing the proposal
+// walk, so results stay bit-identical to the unpipelined run.
 // Adaptive techniques (annealing, local search, OpenTuner) must not
 // implement it.
 type CostOblivious interface {
@@ -59,7 +60,14 @@ type Batcher struct {
 	Tech Technique
 
 	exhausted bool
+	// slab is carved into batches, so batches of one do not allocate per
+	// draw. Each slot is handed out once: a batch stays valid while the
+	// engine draws the next one.
+	slab []*Config
 }
+
+// batcherSlab is the minimum number of slots a Batcher allocates at once.
+const batcherSlab = 128
 
 // AsBatch returns t's batched form: t itself when it already implements
 // BatchTechnique, otherwise a Batcher adapter around it.
@@ -73,6 +81,7 @@ func AsBatch(t Technique) BatchTechnique {
 // Initialize forwards to the wrapped technique.
 func (b *Batcher) Initialize(sp *Space, seed int64) {
 	b.exhausted = false
+	b.slab = nil
 	b.Tech.Initialize(sp, seed)
 }
 
@@ -86,16 +95,19 @@ func (b *Batcher) GetNextBatch(n int) []*Config {
 	if b.exhausted {
 		return nil
 	}
-	batch := make([]*Config, 0, n)
-	for len(batch) < n {
+	if cap(b.slab)-len(b.slab) < n {
+		b.slab = make([]*Config, 0, max(n, batcherSlab))
+	}
+	start := len(b.slab)
+	for len(b.slab)-start < n {
 		cfg := b.Tech.GetNextConfig()
 		if cfg == nil {
 			b.exhausted = true
 			break
 		}
-		batch = append(batch, cfg)
+		b.slab = append(b.slab, cfg)
 	}
-	return batch
+	return b.slab[start:len(b.slab):len(b.slab)]
 }
 
 // ReportCosts replays the batch's costs through ReportCost in order.

@@ -5,8 +5,8 @@ import (
 	"sync"
 )
 
-// costCache is the concurrent cost-evaluation cache behind ExploreParallel
-// (the sequential Explore keeps its plain map — no synchronization on the
+// costCache is the concurrent cost-evaluation cache behind PoolEvaluator
+// (Explore's inline path keeps a plain map — no synchronization on the
 // single-threaded path). It is sharded by key hash so workers evaluating
 // different configurations do not contend on one lock, and it deduplicates
 // in-flight work: when two workers ask for the same configuration at once,
@@ -25,9 +25,8 @@ type costCacheShard struct {
 }
 
 type costCacheEntry struct {
-	done chan struct{} // closed once cost/err are set
-	cost Cost
-	err  error
+	done chan struct{} // closed once out is set
+	out  Outcome
 }
 
 func newCostCache() *costCache {
@@ -41,7 +40,7 @@ func newCostCache() *costCache {
 // getOrCompute returns the cached outcome for key, computing it via eval on
 // the first request. Concurrent requests for the same key wait for the
 // first evaluation instead of re-running it.
-func (c *costCache) getOrCompute(key string, eval func() (Cost, error)) (Cost, error) {
+func (c *costCache) getOrCompute(key string, eval func() Outcome) Outcome {
 	sh := &c.shards[maphash.String(c.seed, key)%costCacheShards]
 	sh.mu.Lock()
 	if e, ok := sh.m[key]; ok {
@@ -55,14 +54,14 @@ func (c *costCache) getOrCompute(key string, eval func() (Cost, error)) (Cost, e
 			mCostCacheInflight.Inc()
 			<-e.done
 		}
-		return e.cost, e.err
+		return e.out
 	}
 	mCostCacheMisses.Inc()
 	e := &costCacheEntry{done: make(chan struct{})}
 	sh.m[key] = e
 	sh.mu.Unlock()
 
-	e.cost, e.err = eval()
+	e.out = eval()
 	close(e.done)
-	return e.cost, e.err
+	return e.out
 }

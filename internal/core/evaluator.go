@@ -6,18 +6,30 @@ import (
 	"sync"
 )
 
+// CloneableCostFunction is a CostFunction that can produce independent
+// copies of itself for concurrent use. A PoolEvaluator gives each worker
+// its own clone, so cost functions owning per-run state (a simulated
+// device queue, uploaded buffers) never share it across workers. Cost
+// functions that do not implement Clone are shared by all workers and must
+// be safe for concurrent calls.
+type CloneableCostFunction interface {
+	CostFunction
+	// Clone returns an independent, equivalently initialized instance.
+	Clone() (CostFunction, error)
+}
+
 // Outcome is the result of evaluating one configuration: the cost vector
 // and the cost function's error, if any. Failed evaluations carry
-// InfCost() so they never win the comparison, exactly as in Explore.
+// InfCost() so they never win the comparison.
 type Outcome struct {
 	Cost Cost
 	Err  error
 }
 
-// BatchEvaluator is the evaluate step of exploration, extracted from
-// ExploreParallel as a transport-agnostic seam: the engine draws batches
-// of configurations from the technique, hands each batch to the
-// evaluator, and merges the outcomes strictly in batch order. The
+// BatchEvaluator is the evaluate step of exploration as a
+// transport-agnostic seam: the engine draws batches of configurations
+// from the technique, hands each batch to the evaluator, and merges the
+// outcomes strictly in batch order. The
 // in-process PoolEvaluator is the default and reference implementation;
 // the distributed fleet coordinator (internal/dist) implements the same
 // interface over remote workers. Because merging happens on the engine
@@ -37,8 +49,8 @@ type BatchEvaluator interface {
 // PoolEvaluator is the in-process BatchEvaluator: a fixed pool of worker
 // goroutines, one cost-function instance per worker (clones when the
 // cost function supports them), and the sharded in-flight-deduplicating
-// cost cache. It is the extracted evaluate step of ExploreParallel and
-// is also what an atf-worker process runs behind its HTTP eval endpoint.
+// cost cache. Explore runs one when Workers > 1, and an atf-worker
+// process runs one behind its HTTP eval endpoint.
 // EvaluateBatch is safe for concurrent calls.
 type PoolEvaluator struct {
 	cfs   []CostFunction
@@ -88,7 +100,7 @@ func NewPoolEvaluator(cf CostFunction, workers int, cacheCosts bool) (*PoolEvalu
 	for w := 0; w < workers; w++ {
 		go func(w int) {
 			for t := range p.tasks {
-				t.out.Cost, t.out.Err = p.evalOne(w, t.cfg)
+				*t.out = p.evalOne(w, t.cfg)
 				t.wg.Done()
 			}
 		}(w)
@@ -99,21 +111,11 @@ func NewPoolEvaluator(cf CostFunction, workers int, cacheCosts bool) (*PoolEvalu
 // Workers returns the pool size.
 func (p *PoolEvaluator) Workers() int { return len(p.cfs) }
 
-func (p *PoolEvaluator) evalOne(w int, cfg *Config) (Cost, error) {
+func (p *PoolEvaluator) evalOne(w int, cfg *Config) Outcome {
 	if p.cache == nil {
-		cost, err := timedCost(p.cfs[w], cfg)
-		if err != nil {
-			cost = InfCost()
-		}
-		return cost, err
+		return evaluate(p.cfs[w], cfg)
 	}
-	return p.cache.getOrCompute(cfg.Key(), func() (Cost, error) {
-		cost, err := timedCost(p.cfs[w], cfg)
-		if err != nil {
-			cost = InfCost()
-		}
-		return cost, err
-	})
+	return p.cache.getOrCompute(cfg.Key(), func() Outcome { return evaluate(p.cfs[w], cfg) })
 }
 
 // EvaluateBatch implements BatchEvaluator: the batch is fanned out to the

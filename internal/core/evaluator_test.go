@@ -2,6 +2,8 @@ package core
 
 import (
 	"context"
+	"fmt"
+	"sync/atomic"
 	"testing"
 )
 
@@ -32,8 +34,8 @@ func (r *reversePoolEvaluator) EvaluateBatch(ctx context.Context, batchIndex uin
 
 // TestCustomEvaluatorDeterministic proves the BatchEvaluator seam: a
 // custom evaluator that computes outcomes in a different internal order
-// still yields results bit-identical to the sequential reference,
-// because merging happens engine-side in batch order.
+// still yields results bit-identical to the Workers: 1 reference, because
+// merging happens engine-side in batch order.
 func TestCustomEvaluatorDeterministic(t *testing.T) {
 	sp := mustSpace(t, saxpyParams(96))
 	cf := ScalarCostFunc(func(cfg *Config) float64 {
@@ -52,18 +54,28 @@ func TestCustomEvaluatorDeterministic(t *testing.T) {
 	defer pool.Close()
 	ev := &reversePoolEvaluator{pool: pool}
 	var marks []BatchMark
-	got, err := ExploreParallel(sp, &indexWalker{}, cf, nil, ParallelOptions{
-		ExploreOptions: ExploreOptions{Record: true, CacheCosts: true},
-		Workers:        4,
-		Evaluator:      ev,
-		OnBatch:        func(m BatchMark) { marks = append(marks, m) },
+	got, err := Explore(sp, &indexWalker{}, cf, nil, ExploreOptions{
+		Record:     true,
+		CacheCosts: true,
+		Workers:    4,
+		Evaluator:  ev,
+		OnBatch:    func(m BatchMark) { marks = append(marks, m) },
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	sameResult(t, ref, got, "custom evaluator")
+	checkMarks(t, marks, got.Evaluations)
+	if len(ev.batches) != len(marks) {
+		t.Fatalf("evaluator saw %d batches, hook saw %d", len(ev.batches), len(marks))
+	}
+}
 
-	// The batch marks partition the evaluation sequence exactly.
+// checkMarks asserts that the batch marks partition the evaluation
+// sequence exactly: consecutive indices, each batch starting where the
+// previous one ended, together covering every committed evaluation.
+func checkMarks(t *testing.T, marks []BatchMark, evaluations uint64) {
+	t.Helper()
 	var next uint64
 	for i, m := range marks {
 		if m.Index != uint64(i) {
@@ -74,11 +86,46 @@ func TestCustomEvaluatorDeterministic(t *testing.T) {
 		}
 		next += uint64(m.Size)
 	}
-	if next != got.Evaluations {
-		t.Fatalf("marks cover %d evaluations, result has %d", next, got.Evaluations)
+	if next != evaluations {
+		t.Fatalf("marks cover %d evaluations, result has %d", next, evaluations)
 	}
-	if len(ev.batches) != len(marks) {
-		t.Fatalf("evaluator saw %d batches, hook saw %d", len(ev.batches), len(marks))
+}
+
+// TestExploreStopsAtBudget: an evaluation budget ends the run before the
+// next batch is drawn, so the cost function runs exactly once per
+// committed evaluation and no batch mark is left uncommitted — inline, on
+// the pool, and behind a custom evaluator.
+func TestExploreStopsAtBudget(t *testing.T) {
+	const budget = 16
+	sp := mustSpace(t, saxpyParams(96))
+	for _, workers := range []int{1, 2, 8} {
+		for _, custom := range []bool{false, true} {
+			t.Run(fmt.Sprintf("workers=%d/evaluator=%v", workers, custom), func(t *testing.T) {
+				var calls atomic.Int64
+				cf := CostFunc(func(cfg *Config) (Cost, error) {
+					calls.Add(1)
+					return SingleCost(float64(cfg.Int("WPT"))), nil
+				})
+				var marks []BatchMark
+				opts := ExploreOptions{Workers: workers, OnBatch: func(m BatchMark) { marks = append(marks, m) }}
+				if custom {
+					pool, err := NewPoolEvaluator(cf, workers, false)
+					if err != nil {
+						t.Fatal(err)
+					}
+					defer pool.Close()
+					opts.Evaluator = pool
+				}
+				res, err := Explore(sp, &indexWalker{}, cf, Evaluations(budget), opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if res.Evaluations != budget || calls.Load() != budget {
+					t.Fatalf("%d evaluations, %d cost calls; want %d of each", res.Evaluations, calls.Load(), budget)
+				}
+				checkMarks(t, marks, res.Evaluations)
+			})
+		}
 	}
 }
 

@@ -7,9 +7,9 @@ import (
 	"testing"
 )
 
-// sameResult asserts the determinism contract of ExploreParallel: Best,
-// BestCost, Improvements (index, config, cost) and the evaluation counters
-// match the sequential reference run.
+// sameResult asserts the determinism contract of Explore: Best, BestCost,
+// Improvements (index, config, cost) and the evaluation counters match the
+// sequential (Workers: 1) reference run.
 func sameResult(t *testing.T, ref, got *Result, label string) {
 	t.Helper()
 	if (ref.Best == nil) != (got.Best == nil) {
@@ -48,9 +48,9 @@ func sameResult(t *testing.T, ref, got *Result, label string) {
 	}
 }
 
-// TestExploreParallelDeterministic is the determinism table test: the
-// parallel engine with workers ∈ {1, 2, 8} must produce identical Best,
-// BestCost and Improvements to the sequential Explore for exhaustive and
+// TestExploreParallelDeterministic is the determinism table test: runs
+// with workers ∈ {2, 8} must produce identical Best, BestCost and
+// Improvements to the Workers: 1 reference for exhaustive and
 // seeded-random techniques on the saxpy space.
 func TestExploreParallelDeterministic(t *testing.T) {
 	const n = 96
@@ -69,9 +69,10 @@ func TestExploreParallelDeterministic(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, workers := range []int{1, 2, 8} {
-				got, err := ExploreParallel(sp, tc.mk(), quadCost(n), Evaluations(60),
-					ParallelOptions{ExploreOptions: opts, Workers: workers})
+			for _, workers := range []int{2, 8} {
+				par := opts
+				par.Workers = workers
+				got, err := Explore(sp, tc.mk(), quadCost(n), Evaluations(60), par)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -88,13 +89,13 @@ func TestExploreParallelDeterministic(t *testing.T) {
 func TestExploreParallelAbortMidBatch(t *testing.T) {
 	const n = 48
 	sp := mustSpace(t, saxpyParams(n))
-	opts := ExploreOptions{Record: true}
-	ref, err := Explore(sp, &indexWalker{}, quadCost(n), Evaluations(13), opts)
+	ref, err := Explore(sp, &indexWalker{}, quadCost(n), Evaluations(13),
+		ExploreOptions{Record: true, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := ExploreParallel(sp, &indexWalker{}, quadCost(n), Evaluations(13),
-		ParallelOptions{ExploreOptions: opts, Workers: 8, BatchSize: 8})
+	got, err := Explore(sp, &indexWalker{}, quadCost(n), Evaluations(13),
+		ExploreOptions{Record: true, Workers: 8, BatchSize: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,8 +112,8 @@ func TestExploreParallelConcurrentCacheDedup(t *testing.T) {
 		calls.Add(1)
 		return SingleCost(1), nil
 	})
-	res, err := ExploreParallel(sp, &stuckTechnique{}, cf, Evaluations(64),
-		ParallelOptions{ExploreOptions: ExploreOptions{CacheCosts: true}, Workers: 8})
+	res, err := Explore(sp, &stuckTechnique{}, cf, Evaluations(64),
+		ExploreOptions{CacheCosts: true, Workers: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,8 +135,8 @@ func TestExploreParallelCachedErrorsKeepErr(t *testing.T) {
 	sp := mustSpace(t, saxpyParams(12))
 	boom := errors.New("kernel launch failed")
 	cf := CostFunc(func(cfg *Config) (Cost, error) { return nil, boom })
-	res, err := ExploreParallel(sp, &stuckTechnique{}, cf, Evaluations(6),
-		ParallelOptions{ExploreOptions: ExploreOptions{CacheCosts: true, Record: true}, Workers: 4})
+	res, err := Explore(sp, &stuckTechnique{}, cf, Evaluations(6),
+		ExploreOptions{CacheCosts: true, Record: true, Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,8 +178,8 @@ func TestExploreParallelClonesCostFunction(t *testing.T) {
 	sp := mustSpace(t, saxpyParams(64))
 	var clones atomic.Int64
 	cf := &cloneCountingCF{clones: &clones, used: &sync.Map{}}
-	if _, err := ExploreParallel(sp, &indexWalker{}, cf, Evaluations(40),
-		ParallelOptions{Workers: 4}); err != nil {
+	if _, err := Explore(sp, &indexWalker{}, cf, Evaluations(40),
+		ExploreOptions{Workers: 4}); err != nil {
 		t.Fatal(err)
 	}
 	if clones.Load() != 3 {
@@ -221,17 +222,17 @@ func TestBatcherSpeculativeProtocol(t *testing.T) {
 	}
 }
 
-// TestExploreParallelRejectsBadInputs mirrors the sequential validation.
+// TestExploreParallelRejectsBadInputs checks the validation with a pool.
 func TestExploreParallelRejectsBadInputs(t *testing.T) {
 	sp := mustSpace(t, saxpyParams(12))
 	cf := quadCost(12)
-	if _, err := ExploreParallel(nil, &indexWalker{}, cf, nil, ParallelOptions{Workers: 4}); err == nil {
+	if _, err := Explore(nil, &indexWalker{}, cf, nil, ExploreOptions{Workers: 4}); err == nil {
 		t.Error("nil space must error")
 	}
-	if _, err := ExploreParallel(sp, nil, cf, nil, ParallelOptions{Workers: 4}); err == nil {
+	if _, err := Explore(sp, nil, cf, nil, ExploreOptions{Workers: 4}); err == nil {
 		t.Error("nil technique must error")
 	}
-	if _, err := ExploreParallel(sp, &indexWalker{}, nil, nil, ParallelOptions{Workers: 4}); err == nil {
+	if _, err := Explore(sp, &indexWalker{}, nil, nil, ExploreOptions{Workers: 4}); err == nil {
 		t.Error("nil cost function must error")
 	}
 }

@@ -13,7 +13,7 @@ type obliviousWalker struct{ indexWalker }
 func (w *obliviousWalker) CostOblivious() bool { return true }
 
 // TestExplorePipelineDeterministic: pipelined dispatch must be
-// bit-identical to the unpipelined engine for cost-oblivious techniques,
+// bit-identical to the Workers: 1 reference for cost-oblivious techniques,
 // across worker counts, batch sizes, and a mid-batch abort.
 func TestExplorePipelineDeterministic(t *testing.T) {
 	const n = 96
@@ -31,15 +31,14 @@ func TestExplorePipelineDeterministic(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			ref, err := ExploreParallel(sp, tc.mk(), quadCost(n), tc.abort,
-				ParallelOptions{ExploreOptions: opts, Workers: 8, BatchSize: tc.batchSize})
+			ref, err := Explore(sp, tc.mk(), quadCost(n), tc.abort, opts)
 			if err != nil {
 				t.Fatal(err)
 			}
 			for _, workers := range []int{2, 8} {
-				got, err := ExploreParallel(sp, tc.mk(), quadCost(n), tc.abort,
-					ParallelOptions{ExploreOptions: opts, Workers: workers,
-						BatchSize: tc.batchSize, Pipeline: true})
+				par := opts
+				par.Workers, par.BatchSize, par.Pipeline = workers, tc.batchSize, true
+				got, err := Explore(sp, tc.mk(), quadCost(n), tc.abort, par)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -57,14 +56,13 @@ func TestExplorePipelineDeterministic(t *testing.T) {
 func TestExplorePipelineIgnoredForAdaptive(t *testing.T) {
 	const n = 48
 	sp := mustSpace(t, saxpyParams(n))
-	opts := ExploreOptions{Record: true, CacheCosts: true}
-	ref, err := ExploreParallel(sp, &indexWalker{}, quadCost(n), Evaluations(40),
-		ParallelOptions{ExploreOptions: opts, Workers: 4})
+	ref, err := Explore(sp, &indexWalker{}, quadCost(n), Evaluations(40),
+		ExploreOptions{Record: true, CacheCosts: true, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := ExploreParallel(sp, &indexWalker{}, quadCost(n), Evaluations(40),
-		ParallelOptions{ExploreOptions: opts, Workers: 4, Pipeline: true})
+	got, err := Explore(sp, &indexWalker{}, quadCost(n), Evaluations(40),
+		ExploreOptions{Record: true, CacheCosts: true, Workers: 4, Pipeline: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,16 +84,15 @@ func TestExplorePipelineOverlapsDispatch(t *testing.T) {
 			events = append(events, ev)
 			mu.Unlock()
 		}}
-		_, err := ExploreParallel(sp, tech, quadCost(n), Evaluations(12),
-			ParallelOptions{
-				ExploreOptions: ExploreOptions{CacheCosts: true},
-				Workers:        2, BatchSize: 4, Pipeline: pipeline,
-				OnBatch: func(mark BatchMark) {
-					mu.Lock()
-					events = append(events, fmt.Sprintf("dispatch%d", mark.Index))
-					mu.Unlock()
-				},
-			})
+		_, err := Explore(sp, tech, quadCost(n), Evaluations(12), ExploreOptions{
+			CacheCosts: true,
+			Workers:    2, BatchSize: 4, Pipeline: pipeline,
+			OnBatch: func(mark BatchMark) {
+				mu.Lock()
+				events = append(events, fmt.Sprintf("dispatch%d", mark.Index))
+				mu.Unlock()
+			},
+		})
 		if err != nil {
 			t.Fatal(err)
 		}

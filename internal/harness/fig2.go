@@ -38,18 +38,10 @@ type Options struct {
 	Engine oclc.Engine
 }
 
-// explore dispatches a tuning run to the sequential or parallel engine
-// according to opts.Parallelism, so every experiment honors the CLI's
-// -parallelism flag through one seam.
-func (o Options) explore(space *core.Space, tech core.Technique, cf core.CostFunction,
-	abort core.AbortCondition, eo core.ExploreOptions) (*core.Result, error) {
-	if o.Parallelism == 0 || o.Parallelism == 1 {
-		return core.Explore(space, tech, cf, abort, eo)
-	}
-	return core.ExploreParallel(space, tech, cf, abort, core.ParallelOptions{
-		ExploreOptions: eo,
-		Workers:        o.Parallelism,
-	})
+// exploreOptions are the exploration options of every tuning run: the
+// experiment seed, the cost cache, and the CLI's -parallelism as workers.
+func (o Options) exploreOptions() core.ExploreOptions {
+	return core.ExploreOptions{Seed: o.Seed, CacheCosts: true, Workers: o.Parallelism}
 }
 
 func (o *Options) defaults() {
@@ -143,11 +135,11 @@ func Fig2(deviceName string, opts Options) (*Fig2Result, error) {
 		// configuration every CLBlast user has) and restarts after runs
 		// of rejected moves — standard practitioner moves that the
 		// paper's 10-minute budgets subsume.
-		atfRes, err := opts.explore(space,
+		atfRes, err := core.Explore(space,
 			&search.Annealing{Start: clblast.DefaultConfig(), RestartAfter: 25},
 			eval.CostFunction(),
 			core.Evaluations(opts.ATFEvals),
-			core.ExploreOptions{Seed: opts.Seed, CacheCosts: true})
+			opts.exploreOptions())
 		if err != nil {
 			return nil, err
 		}
@@ -168,9 +160,9 @@ func Fig2(deviceName string, opts Options) (*Fig2Result, error) {
 		}
 		if rsp.Size() > 0 {
 			// On sizes where the restricted space exists, CLTune tunes it.
-			r, err := opts.explore(rsp, search.NewAnnealing(), eval.CostFunction(),
+			r, err := core.Explore(rsp, search.NewAnnealing(), eval.CostFunction(),
 				core.Evaluations(minU64(rsp.Size(), opts.ATFEvals)),
-				core.ExploreOptions{Seed: opts.Seed, CacheCosts: true})
+				opts.exploreOptions())
 			if err != nil {
 				return nil, err
 			}
@@ -232,9 +224,9 @@ func deviceOptimized(dev *opencl.Device, opts Options) (*core.Config, error) {
 		return nil, fmt.Errorf("harness: restricted space empty at 256x256?")
 	}
 	eval := clblast.NewGemmEvaluator(dev, shape, opts.Seed)
-	r, err := opts.explore(sp, search.NewAnnealing(), eval.CostFunction(),
+	r, err := core.Explore(sp, search.NewAnnealing(), eval.CostFunction(),
 		core.Evaluations(minU64(sp.Size(), uint64(opts.DevOptEvals))),
-		core.ExploreOptions{Seed: opts.Seed, CacheCosts: true})
+		opts.exploreOptions())
 	if err != nil {
 		return nil, err
 	}

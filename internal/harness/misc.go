@@ -107,11 +107,11 @@ func Relaxed(deviceName string, opts Options) ([]*RelaxedResult, error) {
 		}
 		r.ConstrainedSize = conSpace.Size()
 		if conSpace.Size() > 0 {
-			cr, err := opts.explore(conSpace,
+			cr, err := core.Explore(conSpace,
 				&search.Annealing{Start: clblast.DefaultConfig(), RestartAfter: 25},
 				eval.CostFunction(),
 				core.Evaluations(minU64(conSpace.Size(), opts.ATFEvals)),
-				core.ExploreOptions{Seed: opts.Seed, CacheCosts: true})
+				opts.exploreOptions())
 			if err != nil {
 				return nil, err
 			}
@@ -120,11 +120,11 @@ func Relaxed(deviceName string, opts Options) ([]*RelaxedResult, error) {
 			}
 		}
 
-		rr, err := opts.explore(relaxedSpace,
+		rr, err := core.Explore(relaxedSpace,
 			&search.Annealing{Start: clblast.DefaultConfig(), RestartAfter: 25},
 			eval.CostFunction(),
 			core.Evaluations(opts.ATFEvals),
-			core.ExploreOptions{Seed: opts.Seed, CacheCosts: true})
+			opts.exploreOptions())
 		if err != nil {
 			return nil, err
 		}
