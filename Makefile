@@ -61,7 +61,7 @@ check: doccheck build test race benchmark-selftest e2e-load benchgate
 
 # bench runs the space-generation benchmark (memo on/off × workers), the
 # exploration benches, and the kernel-interpreter engine comparison
-# (walk vs vm-nospec vs vm vs vm-vec), 5 samples each for
+# (walk vs vm-vec), 5 samples each for
 # benchdiff/benchstat. The raw text is kept in results/bench.txt and a
 # machine-readable mean-ns/op summary is written to results/bench.json;
 # scripts/benchdiff.sh diffs any mix of the two formats:

@@ -400,11 +400,8 @@ func BenchmarkGenerateSpaceLazy(b *testing.B) {
 
 // BenchmarkKernelInterpreter measures the simulated-OpenCL substrate
 // itself: one sampled XgemmDirect launch per iteration, under each
-// execution engine. engine=walk is the tree-walking reference,
-// engine=vm-nospec the bytecode VM without define-specialization,
-// engine=vm the scalar bytecode VM (ISSUE 5 target: vm ≥5× walk), and
-// engine=vm-vec the lockstep-vectorized production path (ISSUE 6 target:
-// vm-vec ≥3× vm on XgemmDirect).
+// execution engine. engine=walk is the tree-walking reference and
+// engine=vm-vec the lockstep-vectorized production path.
 func BenchmarkKernelInterpreter(b *testing.B) {
 	dev, err := opencl.FindDevice("", "K20m")
 	if err != nil {
@@ -412,7 +409,7 @@ func BenchmarkKernelInterpreter(b *testing.B) {
 	}
 	prev := oclc.DefaultEngine()
 	defer oclc.SetDefaultEngine(prev)
-	for _, eng := range []oclc.Engine{oclc.EngineWalk, oclc.EngineVMNoSpec, oclc.EngineVM, oclc.EngineVMVec} {
+	for _, eng := range []oclc.Engine{oclc.EngineWalk, oclc.EngineVMVec} {
 		b.Run("engine="+eng.String(), func(b *testing.B) {
 			oclc.SetDefaultEngine(eng)
 			eval := clblast.NewGemmEvaluator(dev, clblast.CaffeInputSizes()[1], 1)

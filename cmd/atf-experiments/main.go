@@ -1,6 +1,7 @@
 // Command atf-experiments regenerates the paper's evaluation artifacts
-// (DESIGN.md §4, experiments E1–E13) on the simulated devices and prints
-// one table per experiment. EXPERIMENTS.md records a full run.
+// (DESIGN.md §4, experiments E1–E10, E13 and E15) on the simulated
+// devices and prints one table per experiment. EXPERIMENTS.md records a
+// full run.
 //
 // Usage:
 //
@@ -22,7 +23,7 @@ import (
 
 func main() {
 	exp := flag.String("exp", "all",
-		"experiment: all, fig2cpu, fig2gpu, spacegen, sizes, relaxed, otvalid, defaults, groups, gentime, interp, vec, lazyspace, sweep")
+		"experiment: all, fig2cpu, fig2gpu, spacegen, sizes, relaxed, otvalid, defaults, groups, gentime, lazyspace, sweep")
 	cap := flag.Int64("cap", 64, "XgemmDirect integer range cap")
 	sizeCaps := flag.String("sizecaps", "16,64,256",
 		"comma-separated range caps for the E4 size census (1024 reproduces the paper's 2^10 setting; allow a few minutes)")
@@ -38,8 +39,7 @@ func main() {
 	memo := flag.String("memo", "both",
 		"gentime memoization ablation: on, off, or both (one table row per mode)")
 	engine := flag.String("engine", "",
-		"oclc execution engine for kernel launches: vm-vec (default), vm, walk, vm-nospec")
-	interpEvals := flag.Int("interp-evals", 20, "timed cost evaluations per engine in the E11/E12 ablations")
+		"oclc execution engine for kernel launches: vm-vec (default) or walk")
 	flag.Parse()
 
 	eng, err := oclc.ParseEngine(*engine)
@@ -189,20 +189,6 @@ func main() {
 			rs = append(rs, r)
 		}
 		emit(harness.SweepTable(rs))
-	}
-	if want("interp") {
-		r, err := harness.Interp("Xeon", *interpEvals, opts)
-		if err != nil {
-			fail(err)
-		}
-		emit(harness.InterpTable(r))
-	}
-	if want("vec") {
-		r, err := harness.VecAblate("K20m", *interpEvals, opts)
-		if err != nil {
-			fail(err)
-		}
-		emit(harness.VecAblateTable(r))
 	}
 	if *stats {
 		obs.WriteSummary(os.Stdout, obs.Default().Snapshot())

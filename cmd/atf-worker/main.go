@@ -38,7 +38,7 @@ func main() {
 	name := flag.String("name", "", "worker name in fleet listings and metrics (default host:port)")
 	parallelism := flag.Int("parallelism", 0, "concurrent evaluations per request (0 = NumCPU)")
 	engine := flag.String("engine", "",
-		"oclc execution engine for kernel launches: vm-vec (default), vm, walk, vm-nospec (docs/OPERATIONS.md)")
+		"oclc execution engine for kernel launches: vm-vec (default) or walk (docs/OPERATIONS.md)")
 	flag.Parse()
 
 	eng, err := oclc.ParseEngine(*engine)

@@ -6,6 +6,9 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"atf/internal/clblast"
+	"atf/internal/opencl"
 )
 
 // tinyOpts keeps the experiment tests fast; the assertions are about the
@@ -48,6 +51,7 @@ func TestFig2ShapeGPU(t *testing.T) {
 			t.Errorf("%s: ATF slower than OpenTuner fallback (%.2fx)", row.IS, row.SpeedupVsOpenTuner)
 		}
 	}
+	checkOpenTunerVsDefaults(t, "K20m", tinyOpts().Seed, r)
 	// Table renders in both formats.
 	tbl := Fig2Table(r, "E2")
 	var buf bytes.Buffer
@@ -62,10 +66,31 @@ func TestFig2ShapeGPU(t *testing.T) {
 	}
 }
 
+// checkOpenTunerVsDefaults asserts §VI-B's fallback: the OpenTuner column
+// never reports a kernel slower than CLBlast's shipped defaults, whether
+// or not the raw tuner found a valid configuration.
+func checkOpenTunerVsDefaults(t *testing.T, device string, seed int64, r *Fig2Result) {
+	t.Helper()
+	dev, err := opencl.FindDevice("", device)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, shape := range clblast.CaffeInputSizes() {
+		row := r.Rows[i]
+		defNs, err := clblast.NewGemmEvaluator(dev, shape, seed).Eval(clblast.DefaultConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if row.IS != shape.Name || row.OpenTunerNs > defNs {
+			t.Errorf("%s/%s: OpenTuner %.0f ns, defaults %.0f ns on %s", device, row.IS, row.OpenTunerNs, defNs, shape.Name)
+		}
+	}
+}
+
 // TestFig2FullShape asserts the paper's headline result at full budgets
-// (range cap 64, 400 evaluations). It takes ~10 minutes per device on one
-// core, so it only runs when ATF_FULL_EXPERIMENTS=1 is set; the recorded
-// run lives in EXPERIMENTS.md.
+// (range cap 64, 400 evaluations). It takes about 12 s (CPU) plus 65 s
+// (GPU) on a 2-vCPU Xeon, so it only runs when ATF_FULL_EXPERIMENTS=1 is
+// set; the recorded run lives in EXPERIMENTS.md and results/fig2.md.
 func TestFig2FullShape(t *testing.T) {
 	if os.Getenv("ATF_FULL_EXPERIMENTS") == "" {
 		t.Skip("set ATF_FULL_EXPERIMENTS=1 to run the full-budget Figure 2 shape test")
@@ -83,6 +108,7 @@ func TestFig2FullShape(t *testing.T) {
 				t.Errorf("%s/%s: ATF slower than OpenTuner (%.2fx)", dev, row.IS, row.SpeedupVsOpenTuner)
 			}
 		}
+		checkOpenTunerVsDefaults(t, dev, 1, r)
 	}
 }
 

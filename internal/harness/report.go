@@ -1,8 +1,8 @@
 // Package harness drives the paper-reproduction experiments (DESIGN.md
-// §4, E1–E11): Figure 2 on both devices, the search-space generation and
-// size comparisons of §VI-A, the OpenTuner validity study of §VI-B, the
+// §4): Figure 2 on both devices, the search-space generation and size
+// comparisons of §VI-A, the OpenTuner validity study of §VI-B, the
 // defaults-vs-device-optimized comparison, the Section V parallel
-// generation ablation, and the kernel-interpreter engine ablation. Each
+// generation ablation, and the lazy-space and sweep measurements. Each
 // experiment returns a Table that cmd/atf-experiments prints and
 // EXPERIMENTS.md records.
 package harness

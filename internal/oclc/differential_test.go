@@ -1,20 +1,17 @@
 package oclc_test
 
 // Differential testing of the execution engines: every corpus kernel runs
-// under the tree-walking reference interpreter, the specialized bytecode
-// VM, the unspecialized VM, and the lockstep-vectorized VM, across several
-// define-sets, and the test asserts identical observable behaviour —
-// buffer contents bit-for-bit, the full Counters struct, execution
-// geometry, the divergence flag, and error strings. This is the
-// acceptance gate that lets a VM replace the walker as the default
-// engine.
+// under the tree-walking reference interpreter and the lockstep-vectorized
+// bytecode VM, across several define-sets, and the test asserts identical
+// observable behaviour — buffer contents bit-for-bit, the full Counters
+// struct, execution geometry, the divergence flag, and error strings. This
+// is the acceptance gate that lets the VM replace the walker as the
+// default engine.
 
 import (
 	"fmt"
 	"testing"
 
-	"atf/internal/clblast"
-	"atf/internal/core"
 	"atf/internal/oclc"
 )
 
@@ -406,96 +403,40 @@ func TestDifferentialEngines(t *testing.T) {
 	for _, tc := range diffCorpus {
 		t.Run(tc.name, func(t *testing.T) {
 			ref := runDiffCase(t, tc, oclc.EngineWalk)
-			for _, eng := range []oclc.Engine{oclc.EngineVM, oclc.EngineVMNoSpec, oclc.EngineVMVec} {
-				compareRuns(t, eng, ref, runDiffCase(t, tc, eng))
-			}
+			compareRuns(t, oclc.EngineVMVec, ref, runDiffCase(t, tc, oclc.EngineVMVec))
 		})
 	}
 }
 
 // TestDifferentialXgemmDirect runs the full CLBlast XgemmDirect kernel —
-// the tuning workload the VM was built for — under all four engines
-// across several configurations and compares results and counters.
+// the tuning workload the VM was built for — under both engines across
+// several configurations and compares results and counters.
 func TestDifferentialXgemmDirect(t *testing.T) {
 	if testing.Short() {
 		t.Skip("XgemmDirect differential is slow")
 	}
-	cfgs := []*core.Config{
-		clblast.DefaultConfig(),
-		core.ConfigFromMap(clblast.XgemmDirectNames, map[string]core.Value{
-			"WGD": core.Int(16), "KWID": core.Int(2),
-			"MDIMCD": core.Int(8), "NDIMCD": core.Int(8),
-			"MDIMAD": core.Int(8), "NDIMBD": core.Int(8),
-			"VWMD": core.Int(2), "VWND": core.Int(2),
-			"PADA": core.Bool(true), "PADB": core.Bool(false),
-		}),
-		core.ConfigFromMap(clblast.XgemmDirectNames, map[string]core.Value{
-			"WGD": core.Int(8), "KWID": core.Int(1),
-			"MDIMCD": core.Int(4), "NDIMCD": core.Int(4),
-			"MDIMAD": core.Int(4), "NDIMBD": core.Int(4),
-			"VWMD": core.Int(1), "VWND": core.Int(1),
-			"PADA": core.Bool(false), "PADB": core.Bool(false),
-		}),
-	}
-	const m, n, k = 32, 32, 32
-	shape := clblast.GemmShape{Name: "diff", M: m, N: n, K: k}
-	for ci, cfg := range cfgs {
+	for ci, cfg := range xgemmDirectConfigs() {
 		t.Run(fmt.Sprintf("cfg%d", ci), func(t *testing.T) {
-			type gemmRun struct {
-				res *oclc.ExecResult
-				err error
-				c   []float64
+			ref, refC, err := runXgemmDirect(t, cfg, oclc.EngineWalk)
+			if err != nil {
+				t.Fatalf("walk failed: %v", err)
 			}
-			run := func(eng oclc.Engine) gemmRun {
-				prog, err := oclc.Compile(clblast.XgemmDirectSource, cfg.Defines())
-				if err != nil {
-					t.Fatalf("compile: %v", err)
-				}
-				a := oclc.NewGlobalMemory(1, oclc.KFloat, 4, m*k)
-				b := oclc.NewGlobalMemory(2, oclc.KFloat, 4, k*n)
-				c := oclc.NewGlobalMemory(3, oclc.KFloat, 4, m*n)
-				for i := range a.Data {
-					a.Data[i] = float64((i%13)-6) * 0.25
-				}
-				for i := range b.Data {
-					b.Data[i] = float64((i%7)-3) * 0.5
-				}
-				for i := range c.Data {
-					c.Data[i] = float64(i % 5)
-				}
-				global, local := clblast.GlobalLocalSize(cfg, shape)
-				nd := oclc.NDRange2D(global[0], global[1], local[0], local[1])
-				args := []oclc.Arg{
-					oclc.IntArg(m), oclc.IntArg(n), oclc.IntArg(k),
-					oclc.FloatArg(1.5), oclc.FloatArg(0.5),
-					oclc.BufArg(a), oclc.BufArg(b), oclc.BufArg(c),
-				}
-				res, err := prog.Launch("XgemmDirect", args, nd, oclc.ExecOptions{Engine: eng})
-				cp := make([]float64, len(c.Data))
-				copy(cp, c.Data)
-				return gemmRun{res: res, err: err, c: cp}
+			eng := oclc.EngineVMVec
+			got, gotC, err := runXgemmDirect(t, cfg, eng)
+			if err != nil {
+				t.Fatalf("%v failed: %v", eng, err)
 			}
-			ref := run(oclc.EngineWalk)
-			if ref.err != nil {
-				t.Fatalf("walk failed: %v", ref.err)
+			for i := range refC {
+				if refC[i] != gotC[i] {
+					t.Fatalf("%v: C[%d] = %v, walk has %v", eng, i, gotC[i], refC[i])
+				}
 			}
-			for _, eng := range []oclc.Engine{oclc.EngineVM, oclc.EngineVMNoSpec, oclc.EngineVMVec} {
-				got := run(eng)
-				if got.err != nil {
-					t.Fatalf("%v failed: %v", eng, got.err)
-				}
-				for i := range ref.c {
-					if ref.c[i] != got.c[i] {
-						t.Fatalf("%v: C[%d] = %v, walk has %v", eng, i, got.c[i], ref.c[i])
-					}
-				}
-				if ref.res.Counters != got.res.Counters {
-					t.Fatalf("%v: counters mismatch:\n  walk: %+v\n  %v: %+v",
-						eng, ref.res.Counters, eng, got.res.Counters)
-				}
-				if ref.res.Divergent != got.res.Divergent || ref.res.LocalBytes != got.res.LocalBytes {
-					t.Fatalf("%v: geometry mismatch", eng)
-				}
+			if ref.Counters != got.Counters {
+				t.Fatalf("%v: counters mismatch:\n  walk: %+v\n  %v: %+v",
+					eng, ref.Counters, eng, got.Counters)
+			}
+			if ref.Divergent != got.Divergent || ref.LocalBytes != got.LocalBytes {
+				t.Fatalf("%v: geometry mismatch", eng)
 			}
 		})
 	}

@@ -183,14 +183,9 @@ func (p *Program) Launch(kernelName string, args []Arg, cfg LaunchConfig, opts E
 		limit = int64(opts.SampleGroups)
 	}
 
-	eng := opts.Engine.resolve()
 	var vc *vmCode
-	switch eng {
-	case EngineVM, EngineVMVec:
+	if opts.Engine.resolve() == EngineVMVec {
 		vc = fn.vm
-	case EngineVMNoSpec:
-		p.ensureNoSpec()
-		vc = fn.vmNoSpec
 	}
 
 	// Per-group scratch is hoisted out of the group loop: the aggregation
@@ -201,7 +196,7 @@ func (p *Program) Launch(kernelName string, args []Arg, cfg LaunchConfig, opts E
 	errs := make([]error, n)
 	var sched *vmScheduler
 	if vc != nil {
-		sched = newVMScheduler(p, fn, vc, eng, args, n)
+		sched = newVMScheduler(p, fn, vc, args, n)
 		defer sched.release()
 	}
 
@@ -304,7 +299,57 @@ func (p *Program) runGroup(fn *Function, args []Arg, wg *wgCtx, agg *Counters, c
 	for i := range counters {
 		agg.Add(&counters[i])
 	}
-	return wg.barrier.divergent, nil
+	return barrierDivergence(counters), nil
+}
+
+// barrierDivergence derives a finished group's divergence flag from its
+// per-item barrier counts by replaying the cooperative protocol the VM
+// schedules: passes over the work-items in linear-local-id order, each
+// running item advancing to its next barrier or to completion, waiters
+// released once every remaining item waits. The flag is raised when a
+// completion (rather than an arrival) releases waiters. The walker's
+// goroutines reach the same counts in a schedule-dependent order, so its
+// cyclicBarrier only keeps them from deadlocking and the flag comes from
+// here, identical on every run and under every engine.
+func barrierDivergence(counters []Counters) bool {
+	n := len(counters)
+	left := make([]int64, n)
+	status := make([]vmStatus, n)
+	for i := range counters {
+		left[i] = counters[i].Barriers
+	}
+	parties, waiting, live := n, 0, n
+	divergent := false
+	for live > 0 {
+		for i := range status {
+			if status[i] != vmRunning {
+				continue
+			}
+			if left[i] > 0 {
+				left[i]--
+				status[i] = vmWaiting
+				waiting++
+				if waiting < parties {
+					continue
+				}
+			} else {
+				status[i] = vmDone
+				live--
+				parties--
+				if parties == 0 || waiting < parties {
+					continue
+				}
+				divergent = divergent || waiting > 0
+			}
+			for j := range status {
+				if status[j] == vmWaiting {
+					status[j] = vmRunning
+				}
+			}
+			waiting = 0
+		}
+	}
+	return divergent
 }
 
 func argToRval(a Arg) rval {
@@ -319,15 +364,14 @@ func argToRval(a Arg) rval {
 
 // cyclicBarrier synchronizes the work-items of one group. A work-item
 // that finishes execution leaves the barrier (reducing the participant
-// count) so that divergent control flow degrades into a flagged release
-// instead of a deadlock.
+// count) so that divergent control flow degrades into a release instead
+// of a deadlock.
 type cyclicBarrier struct {
-	mu        sync.Mutex
-	cond      *sync.Cond
-	parties   int
-	waiting   int
-	gen       int
-	divergent bool
+	mu      sync.Mutex
+	cond    *sync.Cond
+	parties int
+	waiting int
+	gen     int
 }
 
 func newCyclicBarrier(n int) *cyclicBarrier {
@@ -358,9 +402,6 @@ func (b *cyclicBarrier) leave() {
 	defer b.mu.Unlock()
 	b.parties--
 	if b.parties > 0 && b.waiting >= b.parties {
-		if b.waiting > 0 {
-			b.divergent = true
-		}
 		b.release()
 	}
 }

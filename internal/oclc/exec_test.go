@@ -58,16 +58,14 @@ func TestCyclicBarrierReleasesAll(t *testing.T) {
 			t.Fatalf("participant %d completed %d rounds", i, c)
 		}
 	}
-	if b.divergent {
-		t.Fatal("uniform barrier flagged divergent")
-	}
 }
 
 func TestCyclicBarrierDivergenceRelease(t *testing.T) {
 	// 3 participants block at the barrier, then the 4th leaves without
-	// ever reaching it: the barrier must release the waiters and flag
-	// divergence, not deadlock. The leaver waits until all three are
-	// provably blocked so the scenario is deterministic.
+	// ever reaching it: the barrier must release the waiters, not
+	// deadlock. The leaver waits until all three are provably blocked so
+	// the scenario is deterministic. (The divergence flag itself comes
+	// from barrierDivergence; see TestBarrierDivergence.)
 	b := newCyclicBarrier(4)
 	var wg sync.WaitGroup
 	for i := 0; i < 3; i++ {
@@ -88,8 +86,48 @@ func TestCyclicBarrierDivergenceRelease(t *testing.T) {
 	}
 	b.leave() // the 4th exits without awaiting
 	wg.Wait()
-	if !b.divergent {
-		t.Fatal("divergence not flagged")
+}
+
+// TestBarrierDivergence pins the divergence flag's definition over
+// per-item barrier counts, and that the walker reports it independently
+// of how its goroutines happen to be scheduled.
+func TestBarrierDivergence(t *testing.T) {
+	for _, c := range []struct {
+		barriers []int64
+		want     bool
+	}{
+		{[]int64{0, 0, 0}, false},
+		{[]int64{2, 2, 2, 2}, false},
+		{[]int64{1, 0, 0, 0}, true}, // item 0 waits, the rest finish
+		{[]int64{2, 1}, true},       // item 1 finishes while item 0 waits at its second barrier
+		{[]int64{0, 1}, false},      // item 0 finishes before item 1 ever waits
+		{[]int64{1, 0, 1}, false},   // item 2's arrival, not item 1's exit, releases item 0
+	} {
+		counters := make([]Counters, len(c.barriers))
+		for i, b := range c.barriers {
+			counters[i].Barriers = b
+		}
+		if got := barrierDivergence(counters); got != c.want {
+			t.Errorf("barriers %v: divergent = %v, want %v", c.barriers, got, c.want)
+		}
+	}
+
+	prog, err := Compile(`__kernel void div(__global float* out) {
+	  if (get_local_id(0) == 0) { barrier(0); }
+	  out[get_global_id(0)] = 1.0f;
+	}`, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 50; i++ {
+		out := NewGlobalMemory(1, KFloat, 4, 4)
+		res, err := prog.Launch("div", []Arg{BufArg(out)}, NDRange1D(4, 4), ExecOptions{Engine: EngineWalk})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !res.Divergent {
+			t.Fatalf("launch %d: walker did not flag divergence", i)
+		}
 	}
 }
 

@@ -114,7 +114,7 @@ const (
 )
 
 // Uniformity hints (compile.go, uniform.go), consumed only by the
-// lockstep-vectorized engine (vmvec.go); the scalar VM ignores them. A
+// lockstep-vectorized engine (vmvec.go); scalar frames ignore them. A
 // hinted branch is proven work-item-ID-independent: every lane of a
 // work-group executing in lockstep takes the same direction, so the
 // vector engine decides it once instead of checking per-lane agreement.

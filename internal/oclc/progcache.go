@@ -36,22 +36,14 @@ var (
 // compiles fed.
 var (
 	mCompileHitsByEngine = map[Engine]*obs.Counter{
-		EngineVM: obs.NewCounter(`atf_oclc_compile_cache_hits_total{engine="vm"}`,
-			"Compile-cache hits while the vm engine was the process default"),
 		EngineWalk: obs.NewCounter(`atf_oclc_compile_cache_hits_total{engine="walk"}`,
 			"Compile-cache hits while the walk engine was the process default"),
-		EngineVMNoSpec: obs.NewCounter(`atf_oclc_compile_cache_hits_total{engine="vm-nospec"}`,
-			"Compile-cache hits while the vm-nospec engine was the process default"),
 		EngineVMVec: obs.NewCounter(`atf_oclc_compile_cache_hits_total{engine="vm-vec"}`,
 			"Compile-cache hits while the vm-vec engine was the process default"),
 	}
 	mCompileMissesByEngine = map[Engine]*obs.Counter{
-		EngineVM: obs.NewCounter(`atf_oclc_compile_cache_misses_total{engine="vm"}`,
-			"Compile-cache misses while the vm engine was the process default"),
 		EngineWalk: obs.NewCounter(`atf_oclc_compile_cache_misses_total{engine="walk"}`,
 			"Compile-cache misses while the walk engine was the process default"),
-		EngineVMNoSpec: obs.NewCounter(`atf_oclc_compile_cache_misses_total{engine="vm-nospec"}`,
-			"Compile-cache misses while the vm-nospec engine was the process default"),
 		EngineVMVec: obs.NewCounter(`atf_oclc_compile_cache_misses_total{engine="vm-vec"}`,
 			"Compile-cache misses while the vm-vec engine was the process default"),
 	}

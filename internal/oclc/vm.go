@@ -60,7 +60,7 @@ func (wi *vmWI) fail(err error) {
 // run executes bytecode until the work-item suspends at a barrier,
 // finishes, or fails. Panics map to the walker's "work-item panic"
 // recovery.
-func (wi *vmWI) run(variant Engine) {
+func (wi *vmWI) run() {
 	var n int64
 	defer func() {
 		wi.icount += n
@@ -679,9 +679,6 @@ frames:
 			case opCallFn:
 				callee := vc.fnTab[in.imm]
 				cvc := callee.vm
-				if variant == EngineVMNoSpec {
-					cvc = callee.vmNoSpec
-				}
 				ctr.Calls++
 				depth := len(wi.frames)
 				if depth >= vmMaxDepth {
@@ -727,19 +724,16 @@ frames:
 // write-barrier traffic from re-allocating pointer-bearing []rval files
 // per group.
 type vmScheduler struct {
-	p       *Program
-	fn      *Function
-	vc      *vmCode
-	variant Engine
-	args    []Arg
-	wis     []vmWI
-	arena   []rval // n × numRegs kernel-frame registers
+	p     *Program
+	fn    *Function
+	vc    *vmCode
+	args  []Arg
+	wis   []vmWI
+	arena []rval // kernel-frame SoA register file, n × numRegs
 
-	// Lockstep-vectorized execution state (vmvec.go), used only while
-	// variant == EngineVMVec. The kernel-frame SoA register file reuses
-	// arena (same size, column-major layout); deeper call frames and the
-	// lane bookkeeping are pooled here across launches like everything
-	// else.
+	// Lockstep-vectorized execution state (vmvec.go). Deeper call frames
+	// and the lane bookkeeping are pooled here across launches like
+	// everything else.
 	width      int
 	lanes      []int  // active lanes, ascending
 	laneActive []bool // lane liveness, indexed by linear local id
@@ -747,7 +741,6 @@ type vmScheduler struct {
 	diedInSeg  []int  // lanes that failed during the current segment
 	lanesDirty bool
 	vframes    []vecFrame
-	scatArena  []rval     // n × numRegs scalar kernel-frame registers for scattered lanes
 	argBuf     []rval     // per-lane builtin argument gather scratch
 	ctrs       []Counters // borrowed per-group counters (Launch scratch)
 	laneErrs   []error    // borrowed per-group errors (Launch scratch)
@@ -758,23 +751,22 @@ type vmScheduler struct {
 	// per instruction, so they accumulate once per instruction here and
 	// flush into a lane's ctrs entry exactly when the lane leaves the
 	// segment: at death (laneFail), at a scatter, and when the group
-	// finishes (runGroupVec). Per-lane divergence inside an instruction —
+	// finishes (runGroup). Per-lane divergence inside an instruction —
 	// a lane dying before the instruction's increments apply — is handled
 	// by ordering the segCtr bump against the laneFail calls to match the
-	// scalar engine's per-item increment/fail order.
+	// scalar frames' per-item increment/fail order.
 	segCtr Counters
 
-	// vecArenaVC/vecArenaW identify the (code, width) whose SoA column
-	// layout the pooled arena currently holds, nil/0 after any scalar
-	// launch. Scalar launches slice the same arena per work-item (AoS), so
-	// a vec launch inheriting such an arena would see kind-divergent junk
-	// in not-yet-written variable slots — harmless for execution (registers
-	// are written before read) but fatal for tryGather, whose per-register
-	// kind-agreement check cannot tell live state from junk. newVMScheduler
-	// clears the arena once on every layout transition so junk is a
-	// uniform KVoid.
-	vecArenaVC *vmCode
-	vecArenaW  int
+	// arenaVC/arenaW identify the (code, width) whose SoA column layout
+	// the pooled arena currently holds. Registers not yet written in a
+	// launch keep whatever the previous launch left; under a different
+	// layout that junk is kind-divergent across a register's lanes —
+	// harmless for execution (registers are written before read) but
+	// fatal for tryGather, whose per-register kind-agreement check cannot
+	// tell live state from junk. newVMScheduler clears the arena once on
+	// every layout change so junk is a uniform KVoid.
+	arenaVC *vmCode
+	arenaW  int
 
 	vecDispatches int64 // group-level instruction dispatches (metrics)
 	vecLaneExecs  int64 // per-lane instructions retired in vector mode
@@ -786,34 +778,27 @@ type vmScheduler struct {
 // call frames too, so steady-state launches allocate nothing per group.
 var vmSchedPool sync.Pool
 
-func newVMScheduler(p *Program, fn *Function, vc *vmCode, variant Engine, args []Arg, n int) *vmScheduler {
+func newVMScheduler(p *Program, fn *Function, vc *vmCode, args []Arg, n int) *vmScheduler {
 	regs := n * vc.numRegs
 	if v := vmSchedPool.Get(); v != nil {
 		s := v.(*vmScheduler)
 		if cap(s.wis) >= n && cap(s.arena) >= regs {
-			s.p, s.fn, s.vc, s.variant, s.args = p, fn, vc, variant, args
+			s.p, s.fn, s.vc, s.args = p, fn, vc, args
 			s.wis = s.wis[:n]
 			s.arena = s.arena[:regs]
-			if variant == EngineVMVec {
-				if s.vecArenaVC != vc || s.vecArenaW != n {
-					clear(s.arena)
-					s.vecArenaVC, s.vecArenaW = vc, n
-				}
-			} else {
-				s.vecArenaVC, s.vecArenaW = nil, 0
+			if s.arenaVC != vc || s.arenaW != n {
+				clear(s.arena)
+				s.arenaVC, s.arenaW = vc, n
 			}
 			return s
 		}
 	}
-	s := &vmScheduler{
-		p: p, fn: fn, vc: vc, variant: variant, args: args,
-		wis:   make([]vmWI, n),
-		arena: make([]rval, regs),
+	return &vmScheduler{
+		p: p, fn: fn, vc: vc, args: args,
+		wis:     make([]vmWI, n),
+		arena:   make([]rval, regs),
+		arenaVC: vc, arenaW: n,
 	}
-	if variant == EngineVMVec {
-		s.vecArenaVC, s.vecArenaW = vc, n
-	}
-	return s
 }
 
 // release returns the scheduler to the pool. The caller must not use it
@@ -829,123 +814,4 @@ func (s *vmScheduler) release() {
 	s.p, s.fn, s.vc, s.args = nil, nil, nil, nil
 	s.ctrs, s.laneErrs = nil, nil
 	vmSchedPool.Put(s)
-}
-
-// runGroup executes one work-group's work-items cooperatively on the
-// calling goroutine, replicating cyclicBarrier's semantics exactly —
-// including the divergence flag: a work-item finishing while others wait
-// at a barrier marks divergence and releases them. Work-items run in
-// linear-local-id order between synchronization points; barrier-correct
-// kernels cannot observe the difference from the walker's concurrent
-// goroutines, and Counters are per-work-item either way.
-func (s *vmScheduler) runGroup(wg *wgCtx, agg *Counters, counters []Counters, errs []error) (bool, int64, error) {
-	if s.variant == EngineVMVec {
-		return s.runGroupVec(wg, agg, counters, errs)
-	}
-	fn, vc := s.fn, s.vc
-	n := int(wg.launch.WorkGroupSize())
-	for i := 0; i < n; i++ {
-		counters[i] = Counters{}
-		errs[i] = nil
-	}
-	wis := s.wis
-	lin := 0
-	for lz := int64(0); lz < wg.launch.Local[2]; lz++ {
-		for ly := int64(0); ly < wg.launch.Local[1]; ly++ {
-			for lx := int64(0); lx < wg.launch.Local[0]; lx++ {
-				wi := &wis[lin]
-				wi.w = wiCtx{
-					prog: s.p,
-					wg:   wg,
-					ctr:  &counters[lin],
-					lid:  [3]int64{lx, ly, lz},
-					gid: [3]int64{
-						wg.grp[0]*wg.launch.Local[0] + lx,
-						wg.grp[1]*wg.launch.Local[1] + ly,
-						wg.grp[2]*wg.launch.Local[2] + lz,
-					},
-					lin: lin,
-				}
-				wi.status = vmRunning
-				wi.err = nil
-				wi.icount = 0
-				// Arena registers are reused across groups un-zeroed:
-				// arguments are rewritten here (a kernel may assign to a
-				// parameter slot), and every other register is written
-				// before read (declarations zero/init, temporaries are
-				// defined by their expression).
-				regs := s.arena[lin*vc.numRegs : (lin+1)*vc.numRegs]
-				for i, a := range s.args {
-					regs[fn.Params[i].Slot] = argToRval(a)
-				}
-				if cap(wi.frames) == 0 {
-					wi.frames = make([]vmFrame, 0, 4)
-				}
-				wi.frames = wi.frames[:1]
-				wi.frames[0] = vmFrame{fn: fn, vc: vc, regs: regs}
-				lin++
-			}
-		}
-	}
-
-	parties := n
-	waiting := 0
-	divergent := false
-	release := func() {
-		for i := range wis {
-			if wis[i].status == vmWaiting {
-				wis[i].status = vmRunning
-			}
-		}
-		waiting = 0
-	}
-	live := n
-	for live > 0 {
-		progress := false
-		for i := range wis {
-			wi := &wis[i]
-			if wi.status != vmRunning {
-				continue
-			}
-			progress = true
-			wi.run(s.variant)
-			switch wi.status {
-			case vmWaiting:
-				// cyclicBarrier.await: the last live arriver releases.
-				waiting++
-				if waiting >= parties {
-					release()
-				}
-			case vmDone:
-				// cyclicBarrier.leave: a finisher releases waiters and
-				// flags divergence.
-				live--
-				errs[i] = wi.err
-				parties--
-				if parties > 0 && waiting >= parties {
-					if waiting > 0 {
-						divergent = true
-					}
-					release()
-				}
-			}
-		}
-		if !progress {
-			break // defensive; the barrier protocol cannot starve
-		}
-	}
-
-	var icount int64
-	for i := range wis {
-		icount += wis[i].icount
-	}
-	for i := 0; i < n; i++ {
-		if errs[i] != nil {
-			return false, icount, errs[i]
-		}
-	}
-	for i := 0; i < n; i++ {
-		agg.Add(&counters[i])
-	}
-	return divergent, icount, nil
 }

@@ -30,18 +30,19 @@ func TestLoweringProducesBytecode(t *testing.T) {
 	if fn.vm == nil || len(fn.vm.code) == 0 {
 		t.Fatal("Compile did not produce specialized bytecode")
 	}
-	if fn.vmNoSpec != nil {
-		t.Fatal("unspecialized bytecode should be lazy (ensureNoSpec)")
+	// Specialization must shrink the program: with MODE a define the
+	// branch is resolved at compile time; as a kernel argument it cannot be.
+	dyn, err := Compile(strings.Replace(vmTestKernel, "const int n,", "const int n, const int MODE,", 1), nil)
+	if err != nil {
+		t.Fatal(err)
 	}
-	prog.ensureNoSpec()
-	if fn.vmNoSpec == nil || len(fn.vmNoSpec.code) == 0 {
-		t.Fatal("ensureNoSpec did not produce bytecode")
+	dfn, err := dyn.Kernel("k")
+	if err != nil {
+		t.Fatal(err)
 	}
-	// Specialization must shrink the program: the MODE branch is resolved
-	// at compile time in the specialized form only.
-	if len(fn.vm.code) >= len(fn.vmNoSpec.code) {
-		t.Errorf("specialized code (%d instrs) not smaller than unspecialized (%d)",
-			len(fn.vm.code), len(fn.vmNoSpec.code))
+	if dfn.vm == nil || len(fn.vm.code) >= len(dfn.vm.code) {
+		t.Errorf("specialized code (%d instrs) not smaller than the runtime-MODE form (%v)",
+			len(fn.vm.code), dfn.vm)
 	}
 	if fn.vm.numRegs < fn.NumSlots {
 		t.Errorf("numRegs %d < NumSlots %d", fn.vm.numRegs, fn.NumSlots)
@@ -58,7 +59,7 @@ func TestBareParseFallsBackToWalker(t *testing.T) {
 	}
 	out := NewGlobalMemory(1, KFloat, 4, 4)
 	res, err := prog.Launch("k", []Arg{BufArg(out)}, NDRange1D(1, 1),
-		ExecOptions{Engine: EngineVM})
+		ExecOptions{Engine: EngineVMVec})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +76,7 @@ func TestCountersWorkGroupInvariant(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, eng := range []Engine{EngineWalk, EngineVM} {
+	for _, eng := range []Engine{EngineWalk, EngineVMVec} {
 		var perGroup Counters
 		for i, groups := range []int64{1, 2, 8} {
 			out := NewGlobalMemory(1, KFloat, 4, int(groups*4))
@@ -117,7 +118,7 @@ func TestVMInstructionMetric(t *testing.T) {
 	if got := mVMInstructions.Value(); got != before {
 		t.Fatalf("walker launch retired %d VM instructions", got-before)
 	}
-	if _, err := prog.Launch("k", args, NDRange1D(4, 4), ExecOptions{Engine: EngineVM}); err != nil {
+	if _, err := prog.Launch("k", args, NDRange1D(4, 4), ExecOptions{Engine: EngineVMVec}); err != nil {
 		t.Fatal(err)
 	}
 	if got := mVMInstructions.Value(); got <= before {
@@ -128,9 +129,7 @@ func TestVMInstructionMetric(t *testing.T) {
 func TestEngineParseAndDefault(t *testing.T) {
 	cases := map[string]Engine{
 		"": EngineDefault, "default": EngineDefault,
-		"vm": EngineVM, "walk": EngineWalk,
-		"vm-nospec": EngineVMNoSpec, "nospec": EngineVMNoSpec,
-		"vm-vec": EngineVMVec, "vec": EngineVMVec,
+		"walk": EngineWalk, "vm-vec": EngineVMVec, "vec": EngineVMVec,
 	}
 	for s, want := range cases {
 		got, err := ParseEngine(s)
@@ -138,8 +137,14 @@ func TestEngineParseAndDefault(t *testing.T) {
 			t.Errorf("ParseEngine(%q) = %v, %v; want %v", s, got, err, want)
 		}
 	}
-	if _, err := ParseEngine("jit"); err == nil || !strings.Contains(err.Error(), "unknown engine") {
-		t.Errorf("ParseEngine(jit) err = %v", err)
+	// Unknown names, including the retired vm and vm-nospec values, are
+	// rejected with an error naming the valid engines.
+	for _, s := range []string{"jit", "vm", "vm-nospec", "nospec"} {
+		_, err := ParseEngine(s)
+		if err == nil || !strings.Contains(err.Error(), "unknown engine") ||
+			!strings.Contains(err.Error(), "vm-vec") || !strings.Contains(err.Error(), "walk") {
+			t.Errorf("ParseEngine(%q) err = %v", s, err)
+		}
 	}
 
 	prev := DefaultEngine()
@@ -195,7 +200,7 @@ __kernel void k(__global float* out) {
 	}
 	// And the result must still be right.
 	out := NewGlobalMemory(1, KFloat, 4, 2)
-	if _, err := prog.Launch("k", []Arg{BufArg(out)}, NDRange1D(2, 2), ExecOptions{Engine: EngineVM}); err != nil {
+	if _, err := prog.Launch("k", []Arg{BufArg(out)}, NDRange1D(2, 2), ExecOptions{Engine: EngineVMVec}); err != nil {
 		t.Fatal(err)
 	}
 	acc, kwg := 0.25, 0
@@ -213,12 +218,12 @@ __kernel void k(__global float* out) {
 func TestCompileCacheEngineLabels(t *testing.T) {
 	prev := DefaultEngine()
 	defer SetDefaultEngine(prev)
-	SetDefaultEngine(EngineVM)
+	SetDefaultEngine(EngineVMVec)
 
 	src := `__kernel void k(__global float* o) { o[0] = (float)(T); }`
 	defs := map[string]string{"T": "321"}
-	missC := mCompileMissesByEngine[EngineVM]
-	hitC := mCompileHitsByEngine[EngineVM]
+	missC := mCompileMissesByEngine[EngineVMVec]
+	hitC := mCompileHitsByEngine[EngineVMVec]
 	m0, h0 := missC.Value(), hitC.Value()
 	if _, err := CompileCached(src, defs); err != nil {
 		t.Fatal(err)

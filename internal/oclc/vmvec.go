@@ -2,11 +2,11 @@ package oclc
 
 // Lockstep-vectorized work-group execution (EngineVMVec).
 //
-// The scalar VM (vm.go) already runs a whole work-group on one goroutine,
-// but it still pays one full dispatch loop per work-item: for a 64-item
-// group, every instruction is fetched, decoded, and switched on 64 times.
-// This engine executes the group in lockstep instead — one dispatch per
-// instruction per *group* — over structure-of-arrays register files:
+// Per-item bytecode frames (vm.go) would pay one full dispatch loop per
+// work-item: for a 64-item group, every instruction fetched, decoded, and
+// switched on 64 times. This engine executes the group in lockstep instead
+// — one dispatch per instruction per *group* — over structure-of-arrays
+// register files:
 // register r of lane l lives at regs[r*width+l], so each operand index
 // addresses a contiguous [width]rval column and the per-lane work inside a
 // case is a tight loop over the active-lane list.
@@ -19,14 +19,15 @@ package oclc
 // per lane — side-effect-free — and, when lanes disagree, the group
 // *scatters*: each live lane's column state is copied into the ordinary
 // per-item vmWI frames (with the branch itself unexecuted) and the scalar
-// cooperative scheduler takes over. At the next barrier release the
+// cooperative scheduler (runScalar) takes over. At the next barrier release the
 // scheduler attempts to *re-gather*: if the lanes converged back to an
 // identical frame stack with per-register kind agreement, their state is
 // copied back into columns and lockstep resumes.
 //
-// Equivalence. Bit-for-bit agreement with the scalar VM (and the walker)
-// is load-bearing — differential_test.go compares buffers, Counters,
-// error text, and the divergence flag across engines:
+// Equivalence. Bit-for-bit agreement with the walker, whose semantics the
+// scalar frames reproduce per work-item, is load-bearing —
+// differential_test.go compares buffers, Counters, error text, and the
+// divergence flag across engines:
 //
 //   - Kind uniformity: starting from uniform frames, every register's
 //     scalar kind (.k) is identical across active lanes after every
@@ -54,7 +55,7 @@ package oclc
 //
 // The one intentional divergence: a panic inside a vector instruction
 // (defensive; real failures surface as errors) kills every active lane
-// with the scalar engine's "work-item panic" error instead of just one,
+// with the scalar frames' "work-item panic" error instead of just one,
 // because half-executed column state cannot be attributed to a single
 // lane.
 
@@ -99,10 +100,11 @@ type vecFrame struct {
 // lane order, exactly where a scalar-only run would have.
 const vmDying vmStatus = 255
 
-// runGroupVec is the EngineVMVec counterpart of runGroup: one work-group,
-// executed in lockstep where possible and on the scalar cooperative
-// scheduler across divergent regions.
-func (s *vmScheduler) runGroupVec(wg *wgCtx, agg *Counters, counters []Counters, errs []error) (bool, int64, error) {
+// runGroup executes one work-group on the calling goroutine: in lockstep
+// where possible and on the scalar cooperative scheduler (runScalar)
+// across divergent regions. It reports the walker's divergence flag and
+// the instructions retired.
+func (s *vmScheduler) runGroup(wg *wgCtx, agg *Counters, counters []Counters, errs []error) (bool, int64, error) {
 	fn, vc := s.fn, s.vc
 	n := int(wg.launch.WorkGroupSize())
 	for i := 0; i < n; i++ {
@@ -162,9 +164,10 @@ func (s *vmScheduler) runGroupVec(wg *wgCtx, agg *Counters, counters []Counters,
 	f0 := &s.vframes[0]
 	f0.fn, f0.vc, f0.ip, f0.dst = fn, vc, 0, 0
 	f0.regs = s.arena[:n*vc.numRegs]
-	// Arena columns are reused across groups un-zeroed, same argument as
-	// the scalar scheduler: arguments are rewritten here and every other
-	// register is written before read.
+	// Arena columns are reused across groups un-zeroed: arguments are
+	// rewritten here (a kernel may assign to a parameter slot), and every
+	// other register is written before read (declarations zero/init,
+	// temporaries are defined by their expression).
 	for i, a := range s.args {
 		col := f0.regs[fn.Params[i].Slot*n:]
 		rv := argToRval(a)
@@ -596,7 +599,7 @@ frames:
 				} else {
 					// The bump precedes the zero checks: a lane dying here
 					// flushes with this instruction's IntOps included, as the
-					// scalar engine counts it.
+					// scalar frames count it.
 					s.segCtr.IntOps++
 					var zerr error
 					for _, l := range lanes {
@@ -1029,7 +1032,7 @@ func (s *vmScheduler) vecStep(in *instr, f *vecFrame, regs []rval, lanes []int, 
 					dimerr = errf(in.pos, "2-D subscript of 1-D array")
 				}
 				s.laneFail(l, dimerr)
-				// The scalar engine fails this lane before the address
+				// The scalar frames fail this lane before the address
 				// computation and the access: undo the hoisted bumps the
 				// flush just credited it with.
 				c := &s.ctrs[l]
@@ -1309,7 +1312,6 @@ func (s *vmScheduler) vecStep(in *instr, f *vecFrame, regs []rval, lanes []int, 
 	return ip + 1, stepNext
 }
 
-
 // scatter copies every live lane's column state into its per-item scalar
 // frames (vmWI), with the top frame's ip at the diverging branch and no
 // side effects from it applied — the scalar re-execution of the branch
@@ -1321,18 +1323,6 @@ func (s *vmScheduler) scatter() {
 	w := s.width
 	wis := s.wis
 	nf := len(s.vframes)
-	// Frame-0 registers come from a dedicated arena: after a *scalar*
-	// launch on this pooled scheduler, wi.frames[0].regs is a slice of
-	// s.arena whose capacity extends to the arena's end — reusing it here
-	// would write lane-AoS state over the very SoA columns being read.
-	// Deeper frames were always individually allocated and are safe to
-	// reuse.
-	nr0 := s.vframes[0].vc.numRegs
-	if need := w * nr0; cap(s.scatArena) >= need {
-		s.scatArena = s.scatArena[:need]
-	} else {
-		s.scatArena = make([]rval, need)
-	}
 	// Scattered lanes leave the segment: flush their share of the batched
 	// counters before the scalar scheduler resumes incrementing per item.
 	for _, l := range s.lanes {
@@ -1349,9 +1339,9 @@ func (s *vmScheduler) scatter() {
 			vf := &s.vframes[d]
 			fr := &wi.frames[d]
 			nr := vf.vc.numRegs
-			if d == 0 {
-				fr.regs = s.scatArena[l*nr0 : (l+1)*nr0]
-			} else if cap(fr.regs) >= nr {
+			// Scalar register files are allocated per lane and frame
+			// depth, and pooled with the scheduler.
+			if cap(fr.regs) >= nr {
 				fr.regs = fr.regs[:nr]
 			} else {
 				fr.regs = make([]rval, nr)
@@ -1370,9 +1360,10 @@ func (s *vmScheduler) scatter() {
 }
 
 // runScalar drives the scattered group on the scalar cooperative protocol
-// (a transcription of runGroup's loop, plus vmDying event replay) until
-// either the group finishes (returns false) or a barrier release lets
-// every surviving lane re-converge into lockstep (returns true).
+// (the walker's cyclicBarrier semantics in linear-local-id order, plus
+// vmDying event replay) until either the group finishes (returns false) or
+// a barrier release lets every surviving lane re-converge into lockstep
+// (returns true).
 //
 // The protocol releases waiters only when waiting >= parties, and parties
 // counts every lane that still owes an event — so at the moment a release
@@ -1424,7 +1415,7 @@ func (s *vmScheduler) runScalar() bool {
 				}
 			case vmRunning:
 				progress = true
-				wi.run(s.variant)
+				wi.run()
 				switch wi.status {
 				case vmWaiting:
 					// cyclicBarrier.await: the last live arriver releases.

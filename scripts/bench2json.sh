@@ -4,8 +4,8 @@
 #
 #   {
 #     "KernelInterpreter": {
-#       "engine=vm": 1234567.8,
-#       "engine=vm-vec": 345678.9
+#       "engine=vm-vec": 345678.9,
+#       "engine=walk": 1234567.8
 #     },
 #     ...
 #   }
